@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -103,12 +104,44 @@ def _jnum(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _write_text(path: Path, text: str):
+# json writes floats in repr form; %.12g differs from it only on integral
+# tokens, inf/nan, exponents 12..15 and subnormals, which take json's form.
+_REPR_EXPONENTS = {"+12", "+13", "+14", "+15", *(f"-{n}" for n in range(308, 325))}
+
+
+def _json_floats(values) -> list[str]:
+    """json.dumps(_jnum(x)) for each x, without a per-value float round trip."""
+    return [tok if ("." in tok and "e" not in tok)
+            or ("e" in tok and tok.rpartition("e")[2] not in _REPR_EXPONENTS)
+            else json.dumps(float(tok))
+            for tok in map("%.12g".__mod__, np.ravel(values).tolist())]
+
+
+def _write_text(path: Path, chunks):
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_jsonl_grid(path: Path, axis_i, axis_j, columns: dict):
+    """Stream a grid as JSONL, one axis_i row at a time.
+
+    axis_i, axis_j are (key, _json_floats tokens); columns map key -> 2-D
+    array.  Each line equals json.dumps({...: _jnum(v)}, sort_keys=True).
+    """
+    (key_i, toks_i), (key_j, toks_j) = axis_i, axis_j
+    keys = sorted([key_i, key_j, *columns])
+    template = "{" + ", ".join(f'"{k}": %s' for k in keys) + "}\n"
+
+    def row(i):
+        fields = {key_i: repeat(toks_i[i], len(toks_j)), key_j: toks_j,
+                  **{k: _json_floats(col[i]) for k, col in columns.items()}}
+        return "".join(map(template.__mod__, zip(*(fields[k] for k in keys))))
+
+    _write_text(path, map(row, range(len(toks_i))))
 
 
 def _sidecar(cfg: dict, out: Path, show_si: bool, extra=None):
@@ -122,7 +155,7 @@ def _sidecar(cfg: dict, out: Path, show_si: bool, extra=None):
             "bohr_in_nm": BOHR_NM,
             "photon_energy_eV": _jnum(omega * HARTREE_EV) if omega else None,
         }
-    _write_text(out / "run_config.json", json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _write_text(out / "run_config.json", [json.dumps(doc, sort_keys=True, indent=1), "\n"])
 
 
 def _channel(cfg: dict, omega: float) -> TransitionChannel:
@@ -159,7 +192,7 @@ def cmd_amplitudes(args) -> int:
     lines = ["theta_k,MN_mb_plus1,MN_mb_0,MN_mb_minus1"]
     for th, row in zip(run["theta"], run["table"]):
         lines.append(",".join([_fmt(th)] + [_fmt(v) for v in row]))
-    _write_text(out / "amplitudes.csv", "\n".join(lines) + "\n")
+    _write_text(out / "amplitudes.csv", ["\n".join(lines), "\n"])
     extra = {"dominance_boundary": run["dominance_boundary"]}
     _sidecar(cfg, out, args.show_si, extra)
     return 0
@@ -177,15 +210,10 @@ def cmd_photon_field(args) -> int:
     density = np.sum(np.abs(field) ** 2, axis=-1)
     arg_ax = np.angle(field[..., 0])
     arg_az = np.angle(field[..., 2])
+    k = _json_floats(span)
     for name, data in (("photon_density", density),
                        ("photon_arg_ax", arg_ax), ("photon_arg_az", arg_az)):
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                rows.append(json.dumps({"kx": _jnum(span[i]), "ky": _jnum(span[j]),
-                                        "value": _jnum(float(data[i, j]))},
-                                       sort_keys=True))
-        _write_text(out / f"{name}.jsonl", "\n".join(rows) + "\n")
+        _write_jsonl_grid(out / f"{name}.jsonl", ("kx", k), ("ky", k), {"value": data})
     _sidecar(cfg, out, args.show_si, {"omega": _jnum(omega)})
     return 0
 
@@ -210,16 +238,11 @@ def cmd_cm_state(args) -> int:
     window = cfg["window"] or 12.0 / state.kappa
     b = (cfg["b_x"], cfg["b_y"])
     grid = evaluate_cm_grid(state, window, cfg["resolution"], impact_parameter=b)
-    radius = pick_winding_radius(state, window)
+    radius = pick_winding_radius(state, window, center=b)
     wind, residual = winding_number(grid, center=b, radius=radius)
-    rows = []
-    for i in range(len(grid.x)):
-        for j in range(len(grid.y)):
-            rows.append(json.dumps(
-                {"x": _jnum(grid.x[i]), "y": _jnum(grid.y[j]),
-                 "re": _jnum(grid.values[i, j].real),
-                 "im": _jnum(grid.values[i, j].imag)}, sort_keys=True))
-    _write_text(out / "cm_grid.jsonl", "\n".join(rows) + "\n")
+    _write_jsonl_grid(out / "cm_grid.jsonl", ("x", _json_floats(grid.x)),
+                      ("y", _json_floats(grid.y)),
+                      {"re": grid.values.real, "im": grid.values.imag})
     report = {
         "E_b": _jnum(state.E_b), "P_zb": _jnum(state.P_zb),
         "kappa": _jnum(state.kappa), "nu": state.tam_projection,
@@ -227,7 +250,7 @@ def cmd_cm_state(args) -> int:
         "winding_measured": wind, "winding_residual": _jnum(residual),
         "amplitude_abs": _jnum(abs(state.amplitude_scale)),
     }
-    _write_text(out / "cm_report.json", json.dumps(report, sort_keys=True, indent=1) + "\n")
+    _write_text(out / "cm_report.json", [json.dumps(report, sort_keys=True, indent=1), "\n"])
     _sidecar(cfg, out, args.show_si)
     return 0
 
@@ -259,7 +282,7 @@ def cmd_zeeman(args) -> int:
         "photon_omega": _jnum(report.photon_omega),
         "detunings": {str(k): _jnum(v) for k, v in sorted(report.detunings.items())},
     }
-    _write_text(out / "zeeman_report.json", json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _write_text(out / "zeeman_report.json", [json.dumps(doc, sort_keys=True, indent=1), "\n"])
     _sidecar(cfg, out, args.show_si)
     return 0
 
@@ -282,7 +305,7 @@ def cmd_baseline(args) -> int:
         "E_b": _jnum(report["E_b"]),
         "amplitude_abs": _jnum(report["amplitude_abs"]),
     }
-    _write_text(out / "baseline_report.json", json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _write_text(out / "baseline_report.json", [json.dumps(doc, sort_keys=True, indent=1), "\n"])
     _sidecar(cfg, out, args.show_si)
     return 0
 

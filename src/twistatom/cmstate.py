@@ -255,17 +255,21 @@ def winding_number(grid: ComplexGrid, center=(0.0, 0.0), radius: float = 1.0,
 
 
 def pick_winding_radius(state: CMTwistedState, window: float,
-                        start: float | None = None) -> float:
-    """Radius inside the window where |J_nu(kappa r)| is safely nonzero."""
+                        start: float | None = None, center=(0.0, 0.0)) -> float:
+    """Radius where |J_nu(kappa r)| is safely nonzero and the circle around
+    center stays inside the window."""
     nu = abs(state.tam_projection)
     r = start if start is not None else (nu + 1.5) / state.kappa
     step = 0.2 / state.kappa
+    limit = min(0.45 * window, 0.5 * window - max(abs(center[0]), abs(center[1])))
     for _ in range(200):
-        if r < 0.45 * window and abs(bessel_j(nu, state.kappa * r)) > 1e-3:
+        if r < limit and abs(bessel_j(nu, state.kappa * r)) > 1e-3:
             return r
         r += step
-        if r >= 0.45 * window:
+        if r >= limit:
             r = 0.5 / state.kappa
+    if limit < 0.45 * window:
+        raise DomainError("impact offset leaves no winding circle inside the grid window")
     raise NumericsError("no safe winding radius found")
 
 

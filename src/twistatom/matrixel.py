@@ -49,7 +49,7 @@ class TransitionAmplitude:
     form: str  # collinear | rotated | plane-wave
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)  # bounded: sweeps over new omega would grow it forever
 def _collinear_cached(Z: int, n_a: int, l_a: int, n_b: int, l_b: int,
                       helicity: int, omega: float,
                       m_a_prime: int, m_b_prime: int, l_max: int) -> complex:

@@ -55,6 +55,14 @@ class TestCmState:
         assert report["winding_residual"] < 0.1
         assert report["kappa"] > 0
 
+    def test_large_impact_offset(self, tmp_path):
+        # default window is 12/kappa, about 22072 a.u.: b_x is 0.3 of it
+        rc = run_cli(["cm-state", "--out", str(tmp_path), "--resolution", "145",
+                      "--impact-b", "6622", "0"])
+        assert rc == 0
+        report = json.loads((tmp_path / "cm_report.json").read_text())
+        assert report["winding_measured"] == report["nu"] == 3
+
     def test_infinite_mass_forbidden_channel(self, tmp_path):
         # defaults have m_gamma=4 but delta m = 1
         rc = run_cli(["cm-state", "--out", str(tmp_path), "--infinite-mass"])

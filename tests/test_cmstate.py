@@ -161,6 +161,18 @@ class TestGridAndWinding:
         w, _ = winding_number(grid, center=b, radius=r)
         assert w == st.tam_projection == 1
 
+    def test_radius_fits_around_impact_offset(self):
+        st = synthesize_cm_state(make_config(m_gamma=4, m_b=1))
+        window = 12.0 / st.kappa
+        for b in ((0.4 * window, 0.0), (-0.1 * window, 0.3 * window)):
+            grid = evaluate_cm_grid(st, window=window, resolution=145,
+                                    impact_parameter=b)
+            r = pick_winding_radius(st, window, center=b)
+            assert r + max(abs(b[0]), abs(b[1])) < 0.5 * window
+            assert winding_number(grid, center=b, radius=r)[0] == 3
+        with pytest.raises(DomainError):
+            pick_winding_radius(st, window, center=(0.5 * window, 0.0))
+
     def test_winding_guards(self):
         st = synthesize_cm_state(make_config(m_gamma=4, m_b=1))
         grid = evaluate_cm_grid(st, window=10.0 / st.kappa, resolution=257)

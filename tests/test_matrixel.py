@@ -6,8 +6,8 @@ import pytest
 from twistatom.errors import ConfigError, DomainError
 from twistatom.hydrogenic import (BoundOrbital, dipole_radial_integral,
                                   evaluate_orbital, orbital_energy, radial_R)
-from twistatom.matrixel import (TransitionChannel, collinear_matrix_element,
-                                normalized_amplitude_sweep,
+from twistatom.matrixel import (TransitionChannel, _collinear_cached,
+                                collinear_matrix_element, normalized_amplitude_sweep,
                                 plane_wave_matrix_element, rotated_amplitude)
 from twistatom.photon import ALPHA, polarization_vector
 from twistatom.specfun import sph_harm_y
@@ -85,6 +85,13 @@ class TestCollinear:
         expect = (2.0 * math.pi / math.sqrt(2.0 * omega)
                   * de * dipole_radial_integral(a, b) / math.sqrt(3.0))
         assert got == pytest.approx(expect, rel=1e-5)
+
+    def test_cache_is_bounded(self):
+        maxsize = _collinear_cached.cache_info().maxsize
+        for i in range(maxsize + 50):
+            # m_b' != m_a' + helicity returns at once, so each call is cheap
+            _collinear_cached(1, 1, 0, 2, 1, 1, 0.3 + 1e-6 * i, 0, 0, 0)
+        assert _collinear_cached.cache_info().currsize <= maxsize
 
     def test_out_of_range_m_rejected(self, channel_1s2p):
         with pytest.raises(DomainError):
