@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, KinematicsError, OutputError, TwistatomError
+from .errors import (ConfigError, DomainError, KinematicsError, OutputError,
+                     TwistatomError)
 from .hydrogenic import BoundOrbital, orbital_energy
 from .matrixel import TransitionChannel
 from .photon import ALPHA, PlaneWavePhoton, TwistedPhoton, bessel_mode_grid
@@ -201,9 +202,11 @@ def cmd_amplitudes(args) -> int:
 def cmd_photon_field(args) -> int:
     cfg = _resolve(args)
     out = Path(args.out)
+    n = cfg["resolution"]
+    if n < 2:
+        raise DomainError("resolution must be >= 2")
     omega = cfg["omega"] or _bare_transition_energy(cfg)
     photon = _twisted_photon(cfg, omega)
-    n = cfg["resolution"]
     span = np.linspace(-10.0, 10.0, n)  # normalized kappa * x
     X, Y = np.meshgrid(span / photon.kappa, span / photon.kappa, indexing="ij")
     field = bessel_mode_grid(photon, X.ravel(), Y.ravel(), 0.0).reshape(n, n, 3)
@@ -334,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tilt", nargs=2, type=float, default=None,
                        metavar=("PX", "PY"))
         p.add_argument("--infinite-mass", action="store_true")
-        p.add_argument("--seed", type=int, default=None)  # reserved
         p.add_argument("--show-si", action="store_true")
         p.set_defaults(fn=fn)
     return parser

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import eval_genlaguerre
 
 from .errors import DomainError
-from .specfun import clebsch_gordan, sph_harm_y, build_quadrature
+from .specfun import clebsch_gordan, integrate_semi_infinite, sph_harm_y
 
 
 @dataclass(frozen=True)
@@ -77,13 +77,8 @@ def radial_R_prime(orb: BoundOrbital, r) -> np.ndarray:
     norm = _radial_norm(Z, n, l)
     lag = eval_genlaguerre(n - l - 1, 2 * l + 1, rho)
     dlag = -eval_genlaguerre(n - l - 2, 2 * l + 2, rho) if n - l - 2 >= 0 else 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = (-0.5 * rho ** l + l * np.where(rho > 0, rho ** (l - 1), 0.0)) * lag \
-            + rho ** l * dlag
-    if l == 0:
-        inner = (-0.5 * lag + dlag) * np.ones_like(rho)
-    elif l == 1:
-        inner = (-0.5 * rho * lag + lag) + rho * dlag
+    # d(rho^l)/drho; max() spares l = 0 the 0 * rho^-1 = nan at r = 0
+    inner = (-0.5 * rho ** l + l * rho ** max(l - 1, 0)) * lag + rho ** l * dlag
     return norm * np.exp(-rho / 2.0) * inner * (2.0 * Z / n)
 
 
@@ -167,23 +162,11 @@ def radial_integral(orb_a: BoundOrbital, orb_b: BoundOrbital, power: int = 1,
     substitution, so hydrogenic integrands are polynomials and the rule is
     essentially exact.
     """
-    from .errors import NumericsError
     if orb_a.Z != orb_b.Z:
         raise DomainError("orbitals must share the nuclear charge")
-    scale = _overlap_scale(orb_a, orb_b)
-
-    def run(npts):
-        rule = build_quadrature("semi-infinite-exponential", npts)
-        r = rule.nodes / scale
-        f = radial_R(orb_b, r) * r ** power * radial_R(orb_a, r) * r ** 2
-        return float(np.sum(rule.weights * np.exp(rule.nodes) * f) / scale)
-
-    v64 = run(n_points)
-    v128 = run(2 * n_points)
-    if abs(v64 - v128) > 1e-10 * max(1.0, abs(v128)):
-        raise NumericsError(
-            f"radial integral not converged: {v64} vs {v128}")
-    return v128
+    return float(integrate_semi_infinite(
+        lambda r: radial_R(orb_b, r) * r ** power * radial_R(orb_a, r) * r ** 2,
+        _overlap_scale(orb_a, orb_b), n_points))
 
 
 def dipole_radial_integral(orb_a: BoundOrbital, orb_b: BoundOrbital) -> float:

@@ -17,10 +17,9 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericsError
 from .hydrogenic import BoundOrbital, momentum_sigma_parts, radial_R
 from .photon import ALPHA
-from .specfun import (WignerIndex, build_quadrature, gaunt_coefficient,
+from .specfun import (WignerIndex, gaunt_coefficient, integrate_semi_infinite,
                       spherical_bessel_j, wigner_small_d)
 
-L_MAX_DEFAULT = 8
 L_MAX_HARD = 40
 
 
@@ -52,7 +51,7 @@ class TransitionAmplitude:
 @lru_cache(maxsize=1024)  # bounded: sweeps over new omega would grow it forever
 def _collinear_cached(Z: int, n_a: int, l_a: int, n_b: int, l_b: int,
                       helicity: int, omega: float,
-                      m_a_prime: int, m_b_prime: int, l_max: int) -> complex:
+                      m_a_prime: int, m_b_prime: int) -> complex:
     orb_a = BoundOrbital(Z, n_a, l_a, 0)
     orb_b = BoundOrbital(Z, n_b, l_b, 0)
     k = omega * ALPHA
@@ -64,43 +63,52 @@ def _collinear_cached(Z: int, n_a: int, l_a: int, n_b: int, l_b: int,
     parts = momentum_sigma_parts(orb_a_m, helicity)
     scale = Z / n_a + Z / n_b
 
-    def quad(npts, L, radial_fn):
-        rule = build_quadrature("semi-infinite-exponential", npts)
-        r = rule.nodes / scale
-        f = radial_R(orb_b, r) * spherical_bessel_j(L, k * r) * radial_fn(r) * r ** 2
-        return complex(np.sum(rule.weights * np.exp(rule.nodes) * f) / scale)
-
     total = 0.0 + 0.0j
     for lp, m_out, radial_fn in parts:
         if m_out != mu:
             continue
+        # the Gaunt triangle |l_b - lp| <= L <= l_b + lp ends the Rayleigh sum
         L_lo, L_hi = abs(l_b - lp), l_b + lp
-        if L_hi > l_max:
-            if L_hi > L_MAX_HARD:
-                raise NumericsError("partial-wave sum exceeds hard L cap")
-            L_hi = min(L_hi, L_MAX_HARD)
+        if L_hi > L_MAX_HARD:
+            raise NumericsError("partial-wave sum exceeds hard L cap")
         for L in range(L_lo, L_hi + 1):
             ang = (-1.0) ** m_b_prime * gaunt_coefficient(
                 l_b, -m_b_prime, L, 0, lp, mu)
             if ang == 0.0:
                 continue
-            r64 = quad(64, L, radial_fn)
-            r128 = quad(128, L, radial_fn)
-            if abs(r64 - r128) > 1e-10 * max(1.0, abs(r128)):
-                raise NumericsError("radial quadrature not converged")
-            total += (1j ** L) * math.sqrt(4.0 * math.pi * (2 * L + 1)) * ang * r128
+            radial = complex(integrate_semi_infinite(
+                lambda r: radial_R(orb_b, r) * spherical_bessel_j(L, k * r)
+                * radial_fn(r) * r ** 2, scale))
+            total += (1j ** L) * math.sqrt(4.0 * math.pi * (2 * L + 1)) * ang * radial
     prefactor = 2.0 * math.pi * 1j / math.sqrt(2.0 * omega)
     return prefactor * total
 
 
 def collinear_matrix_element(channel: TransitionChannel, m_a_prime: int,
-                             m_b_prime: int, l_max: int = L_MAX_DEFAULT) -> complex:
+                             m_b_prime: int) -> complex:
     """Collinear matrix element M_{m_b' m_a'}(0, 0)."""
     a, b = channel.orbital_a, channel.orbital_b
     if abs(m_a_prime) > a.l or abs(m_b_prime) > b.l:
         raise DomainError("magnetic quantum number out of range")
     return _collinear_cached(a.Z, a.n, a.l, b.n, b.l, channel.helicity,
-                             channel.omega, m_a_prime, m_b_prime, l_max)
+                             channel.omega, m_a_prime, m_b_prime)
+
+
+def _wigner_rotated_sum(channel: TransitionChannel, m_b: int, m_a: int,
+                        theta_k: float) -> complex:
+    """sum over m_b', m_a' of d^{l_b}_{m_b m_b'} d^{l_a}_{m_a m_a'} M_{m_b' m_a'}(0, 0)."""
+    a, b = channel.orbital_a, channel.orbital_b
+    total = 0.0 + 0.0j
+    for m_b_prime in range(-b.l, b.l + 1):
+        d_b = wigner_small_d(WignerIndex(b.l, m_b, m_b_prime), theta_k)
+        if d_b == 0.0:
+            continue
+        for m_a_prime in range(-a.l, a.l + 1):
+            d_a = wigner_small_d(WignerIndex(a.l, m_a, m_a_prime), theta_k)
+            if d_a == 0.0:
+                continue
+            total += d_b * d_a * collinear_matrix_element(channel, m_a_prime, m_b_prime)
+    return total
 
 
 def rotated_amplitude(channel: TransitionChannel, m_b: int, m_a: int,
@@ -112,35 +120,13 @@ def rotated_amplitude(channel: TransitionChannel, m_b: int, m_a: int,
     """
     if not 0.0 <= theta_k < math.pi / 2:
         raise DomainError("theta_k must lie in [0, pi/2)")
-    a, b = channel.orbital_a, channel.orbital_b
-    total = 0.0 + 0.0j
-    for m_b_prime in range(-b.l, b.l + 1):
-        d_b = wigner_small_d(WignerIndex(b.l, m_b, m_b_prime), theta_k)
-        if d_b == 0.0:
-            continue
-        for m_a_prime in range(-a.l, a.l + 1):
-            d_a = wigner_small_d(WignerIndex(a.l, m_a, m_a_prime), theta_k)
-            if d_a == 0.0:
-                continue
-            total += d_b * d_a * collinear_matrix_element(channel, m_a_prime, m_b_prime)
-    return (1j ** (m_a - m_b)) * total
+    return (1j ** (m_a - m_b)) * _wigner_rotated_sum(channel, m_b, m_a, theta_k)
 
 
 def plane_wave_matrix_element(channel: TransitionChannel, m_b: int, m_a: int,
                               theta_k: float, phi_k: float) -> complex:
     """Full plane-wave matrix element M_{m_b m_a}(theta_k, phi_k)."""
-    a, b = channel.orbital_a, channel.orbital_b
-    total = 0.0 + 0.0j
-    for m_b_prime in range(-b.l, b.l + 1):
-        d_b = wigner_small_d(WignerIndex(b.l, m_b, m_b_prime), theta_k)
-        if d_b == 0.0:
-            continue
-        for m_a_prime in range(-a.l, a.l + 1):
-            d_a = wigner_small_d(WignerIndex(a.l, m_a, m_a_prime), theta_k)
-            if d_a == 0.0:
-                continue
-            total += d_b * d_a * collinear_matrix_element(channel, m_a_prime, m_b_prime)
-    return np.exp(1j * (m_a - m_b) * phi_k) * total
+    return np.exp(1j * (m_a - m_b) * phi_k) * _wigner_rotated_sum(channel, m_b, m_a, theta_k)
 
 
 def normalized_amplitude_sweep(channel: TransitionChannel, m_a: int,

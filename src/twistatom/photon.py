@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import DomainError, NumericsError
 from .specfun import WignerIndex, bessel_j, wigner_small_d, build_quadrature
 
@@ -155,13 +154,10 @@ def _superposition_once(photon: TwistedPhoton, x, y, z: float, n_phi: int) -> np
     for j, ph in enumerate(phi):
         eps[j] = polarization_vector(theta_k, ph, lam)
     # delta-reduced transverse integral: ring of radius kappa, trapezoid in phi
-    amp = ((-1j) ** photon.m_gamma * np.exp(1j * photon.m_gamma * phi)
-           * math.sqrt(photon.kappa / (2.0 * math.pi)) / n_phi)
-    weights = amp.astype(complex)
-    vals = _kernels.superposition_sum(
-        np.ascontiguousarray(x, dtype=float), np.ascontiguousarray(y, dtype=float),
-        photon.kappa, weights, np.cos(phi), np.sin(phi), eps)
-    return vals * np.exp(1j * photon.k_z * z)
+    weights = ((-1j) ** photon.m_gamma * np.exp(1j * photon.m_gamma * phi)
+               * math.sqrt(photon.kappa / (2.0 * math.pi)) / n_phi)
+    phase = np.exp(1j * photon.kappa * (np.outer(x, np.cos(phi)) + np.outer(y, np.sin(phi))))
+    return (phase @ (weights[:, None] * eps)) * np.exp(1j * photon.k_z * z)
 
 
 def plane_wave_superposition_grid(photon: TwistedPhoton, x, y, z: float,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .errors import DomainError
+from .errors import DomainError, NumericsError
 
 _FACT_TABLE_SIZE = 41
 _LOG_FACT = np.array([math.lgamma(k + 1) for k in range(_FACT_TABLE_SIZE)])
@@ -89,12 +89,6 @@ def wigner_small_d(idx: WignerIndex, theta: float) -> float:
         trig = (c ** pc if pc else 1.0) * (s ** ps if ps else 1.0)
         total += (-1.0) ** (m - mp + k) * math.exp(pref - log_den) * trig
     return total
-
-
-def wigner_big_d(idx: WignerIndex, alpha: float, beta: float, gamma: float) -> complex:
-    """Wigner D^l_{m m'}(alpha, beta, gamma) = e^{-i m alpha} d^l_{m m'}(beta) e^{-i m' gamma}."""
-    d = wigner_small_d(idx, beta)
-    return np.exp(-1j * idx.m * alpha) * d * np.exp(-1j * idx.m_prime * gamma)
 
 
 def bessel_j(order: int, x):
@@ -197,13 +191,20 @@ def build_quadrature(kind: str, n_points: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, kind=kind)
 
 
-def integrate_semi_infinite(f, n_points: int = 64, scale: float = 1.0) -> float:
-    """Integrate f(r) over [0, inf) assuming decay ~ e^{-scale r}.
+def integrate_semi_infinite(f, scale: float, n_points: int = 64):
+    """Integrate f(r) over [0, inf) for integrands decaying like e^{-scale r}.
 
-    Substitutes x = scale * r into a Gauss-Laguerre rule; exact when
-    f(r) = polynomial(r) * exp(-scale r) of low enough degree.
+    Substitutes x = scale * r into Gauss-Laguerre rules of n_points and
+    2 * n_points nodes; f takes the array of radii and returns the integrand
+    there.  Exact when f(r) = polynomial(r) * exp(-scale r) of low enough
+    degree.  Returns the finer value; raises NumericsError when the two
+    differ by more than 1e-10 * max(1, |value|).
     """
-    rule = build_quadrature("semi-infinite-exponential", n_points)
-    r = rule.nodes / scale
-    vals = np.asarray([f(ri) for ri in r])
-    return np.sum(rule.weights * np.exp(rule.nodes) * vals) / scale
+    def run(npts):
+        rule = build_quadrature("semi-infinite-exponential", npts)
+        return np.sum(rule.weights * np.exp(rule.nodes) * f(rule.nodes / scale)) / scale
+
+    coarse, fine = run(n_points), run(2 * n_points)
+    if abs(coarse - fine) > 1e-10 * max(1.0, abs(fine)):
+        raise NumericsError(f"radial quadrature not converged: {coarse} vs {fine}")
+    return fine

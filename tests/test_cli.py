@@ -43,6 +43,14 @@ class TestPhotonField:
             row = json.loads(lines[0])
             assert set(row) == {"kx", "ky", "value"}
 
+    @pytest.mark.parametrize("resolution", ["-1", "0", "1"])
+    def test_resolution_below_two_rejected(self, tmp_path, capsys, resolution):
+        rc = run_cli(["photon-field", "--out", str(tmp_path), "--resolution", resolution])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "DomainError"
+        assert not list(tmp_path.iterdir())
+
 
 class TestCmState:
     def test_report_contents(self, tmp_path):

@@ -55,6 +55,10 @@ class TestRadial:
             h = 1e-6
             fd = (radial_R(orb, r + h) - radial_R(orb, r - h)) / (2.0 * h)
             assert np.allclose(radial_R_prime(orb, r), fd, atol=1e-7)
+            # r = 0: second-order one-sided difference; dR_21/dr(0) = 0.2041
+            at_0 = (-3.0 * radial_R(orb, 0.0) + 4.0 * radial_R(orb, h)
+                    - radial_R(orb, 2.0 * h)) / (2.0 * h)
+            assert radial_R_prime(orb, 0.0) == pytest.approx(at_0, abs=1e-7)
 
     def test_dipole_1s2p_analytic(self):
         # <R_21 | r | R_10> = 128 sqrt(6) / 243 for Z = 1

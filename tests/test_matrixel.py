@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from twistatom.errors import ConfigError, DomainError
+from twistatom import matrixel
+from twistatom.errors import ConfigError, DomainError, NumericsError
 from twistatom.hydrogenic import (BoundOrbital, dipole_radial_integral,
                                   evaluate_orbital, orbital_energy, radial_R)
 from twistatom.matrixel import (TransitionChannel, _collinear_cached,
@@ -90,8 +91,21 @@ class TestCollinear:
         maxsize = _collinear_cached.cache_info().maxsize
         for i in range(maxsize + 50):
             # m_b' != m_a' + helicity returns at once, so each call is cheap
-            _collinear_cached(1, 1, 0, 2, 1, 1, 0.3 + 1e-6 * i, 0, 0, 0)
+            _collinear_cached(1, 1, 0, 2, 1, 1, 0.3 + 1e-6 * i, 0, 0)
         assert _collinear_cached.cache_info().currsize <= maxsize
+
+    def test_partial_wave_cap(self, monkeypatch):
+        # l_b + l_a + 1 = 41 > L_MAX_HARD: refused before any radial quadrature
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran past the L cap")
+
+        monkeypatch.setattr(matrixel, "integrate_semi_infinite", no_quadrature)
+        a = BoundOrbital(1, 1, 0, 0)
+        b = BoundOrbital(1, 41, 40, 1)
+        ch = TransitionChannel(a, b, 1, orbital_energy(b) - orbital_energy(a))
+        assert b.l + a.l + 1 > matrixel.L_MAX_HARD
+        with pytest.raises(NumericsError, match="L cap"):
+            collinear_matrix_element(ch, 0, 1)
 
     def test_out_of_range_m_rejected(self, channel_1s2p):
         with pytest.raises(DomainError):
