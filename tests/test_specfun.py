@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import special as sp
 
 from twistatom.errors import DomainError
 from twistatom.specfun import (QuadratureRule, WignerIndex, bessel_j,
@@ -124,6 +127,30 @@ class TestBessel:
         with pytest.raises(DomainError):
             bessel_j(0, float("nan"))
 
+    def test_matches_jv_on_both_sides_of_switch(self):
+        dense = np.linspace(0.0, 200.0, 4001)
+        negative = np.linspace(-60.0, 0.0, 1201)
+        for n in range(-40, 41):
+            a = abs(n)
+            x = np.concatenate([dense, negative, np.linspace(a - 1.0, a + 1.0, 201),
+                                [0.0, a, a - 1e-9, a + 1e-9, -a, -a - 1e-9, -a + 1e-9]])
+            assert np.max(np.abs(bessel_j(n, x) - sp.jv(n, x))) <= 1e-14, n
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-20, 20), st.floats(-100.0, 100.0))
+    @example(2, 2.0)
+    @example(-7, -7.0 - 1e-9)
+    @example(20, 100.0)
+    def test_matches_jv_property(self, n, x):
+        assert abs(bessel_j(n, x) - sp.jv(n, x)) <= 1e-14
+
+    def test_scalar_in_scalar_out(self):
+        for n in (0, 1, -3, 5):
+            for x in (7.5, np.float64(0.5), np.array(12.0)):
+                value = bessel_j(n, x)
+                assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
+                assert value == pytest.approx(sp.jv(n, float(x)), abs=1e-14)
+
 
 class TestSphericalBessel:
     def test_trivial(self):
@@ -208,6 +235,14 @@ class TestQuadrature:
     def test_too_few_points(self):
         with pytest.raises(DomainError):
             build_quadrature("finite-interval", 1)
+
+    def test_rules_are_shared_and_read_only(self):
+        rule = build_quadrature("semi-infinite-exponential", 64)
+        assert build_quadrature("semi-infinite-exponential", 64) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights *= 2.0
 
     def test_rule_invariants(self):
         for kind in ("finite-interval", "semi-infinite-exponential"):
